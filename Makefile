@@ -1,8 +1,10 @@
 # Tiered developer targets. `make check` is the concurrency tier: it
-# vets the whole module and runs the race detector over the packages
-# that execute simulation cells in parallel (the scheduler, the trace
-# cache, the single-pass multi-predictor runner, the HTTP service and
-# its shared result store). `make verify` is
+# vets the whole module and runs the race detector over every
+# concurrent package (the scheduler, the trace cache, the single-pass
+# multi-predictor runner and the kernels and groups its cell-parallel
+# drain runs on worker goroutines, telemetry, the HTTP service, its
+# result store, trace pool, cluster peers and client, and the
+# predserved binary). `make verify` is
 # the differential tier: the optimized predictors against the
 # executable paper spec, plus the fault-injection selftest. `make fuzz`
 # runs each fuzz target for FUZZTIME. `make bench` runs the compiled
@@ -35,7 +37,8 @@ test: build
 
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace
+	$(GO) test -race ./internal/experiments ./internal/sim ./internal/server ./internal/store ./internal/algotrace \
+		./internal/kernel ./internal/obs ./internal/tracepool ./internal/cluster ./internal/client ./cmd/predserved
 
 # Lint tier: vet always; staticcheck when installed (CI installs it,
 # see .github/workflows/ci.yml; locally `go install

@@ -7,8 +7,9 @@ import (
 )
 
 // The committed benchmark snapshots are artifacts with claims
-// attached: the block decoder is faster than the per-record one, and
-// the bitsliced group kernel beats the scalar kernels per lane. These
+// attached: the block decoder is faster than the per-record one, the
+// bitsliced group kernel beats the scalar kernels per lane, and the
+// zero-value simulator options beat forced segmentation. These
 // tests re-assert those relations from the snapshots themselves, so a
 // regression that survives into a regenerated BENCH_*.json fails the
 // suite rather than silently shipping. All comparisons are within one
@@ -83,18 +84,22 @@ func TestBenchSnapshotStepBatch64(t *testing.T) {
 }
 
 // TestBenchSnapshotSim: the whole-trace snapshot must carry the
-// segmented wall-clock sweep and show the bitsliced sweep beating the
-// scalar-kernel sweep per branch per predictor.
+// segmented wall-clock sweep, show the bitsliced sweep beating the
+// scalar-kernel sweep per branch per predictor, and show the
+// zero-value options never slower than forced segmentation on the
+// paper's figure grid.
 func TestBenchSnapshotSim(t *testing.T) {
 	ns := loadSnapshot(t, "BENCH_sim.json")
 	for _, name := range []string{
 		"SimSegmented/K1", "SimSegmented/K2", "SimSegmented/K4", "SimSegmented/K8",
+		"SimPaperGrid/nobitslice",
 	} {
 		if _, ok := ns[name]; !ok {
 			t.Errorf("snapshot missing %q; regenerate with `make bench`", name)
 		}
 	}
 	faster(t, ns, "SimBitsliced/lanes64", "SimBitsliced/lanes1")
+	faster(t, ns, "SimPaperGrid/default", "SimPaperGrid/segments2")
 }
 
 // serveSnapshot mirrors cmd/predload's sweep report (BENCH_serve.json).

@@ -523,13 +523,14 @@ func BenchmarkKernelStepBatch64(b *testing.B) {
 	}
 }
 
-// Segment-parallel and bitsliced whole-trace benchmarks. `make bench`
-// snapshots these (the ^BenchmarkSim pattern) into BENCH_sim.json:
-// wall-clock for one trace at segment counts K=1/2/4/8, and for a
-// 64-predictor sweep with the bitsliced group path off and on. On a
-// single-core host the segmented numbers document parity rather than
-// speedup — the engine's value there is that it is bit-identical, not
-// faster.
+// Whole-trace simulation benchmarks. `make bench` snapshots these
+// (the ^BenchmarkSim pattern) into BENCH_sim.json: wall-clock for one
+// trace at segment counts K=1/2/4/8, for a 64-predictor sweep with the
+// bitsliced group path off and on, and for the paper's 28-cell figure
+// grid under the zero-value options, forced segmentation and no
+// bitslicing. On 1- and 2-core hosts the segmented numbers document
+// parity with overhead rather than speedup — the engine's value there
+// is that it is bit-identical, not faster.
 
 // simBenchTrace materialises the longer trace the whole-trace
 // benchmarks run on; long enough that segment warm-up (default 4096
@@ -604,6 +605,70 @@ func BenchmarkSimBitsliced(b *testing.B) {
 				}
 				n := (chunk + lanes - 1) / lanes
 				if _, err := sim.RunManyBranches(branches[:n], preds, opts); err != nil {
+					b.Fatal(err)
+				}
+				done += chunk
+			}
+		})
+	}
+}
+
+// paperGridSpecs is the figure grid of 2-bit-counter organisations
+// the paper sweeps (figures 5-8 and 12): 28 cells of bimodal, gshare,
+// gselect, gskewed and e-gskew at several sizes and histories. No two
+// cells share an index function, so none form a bitsliced group.
+func paperGridSpecs() []predictor.Spec {
+	var g []predictor.Spec
+	for _, n := range []uint{10, 12, 14} {
+		g = append(g, predictor.Spec{Family: "bimodal", N: n})
+		for _, k := range []uint{4, 8, 12} {
+			g = append(g, predictor.Spec{Family: "gshare", N: n, Hist: k})
+		}
+		for _, k := range []uint{4, 6} {
+			g = append(g, predictor.Spec{Family: "gselect", N: n, Hist: k})
+		}
+	}
+	for _, n := range []uint{10, 12} {
+		for _, k := range []uint{4, 8, 12} {
+			g = append(g, predictor.Spec{Family: "gskewed", N: n, Hist: k, Policy: predictor.PartialUpdate})
+		}
+		for _, k := range []uint{8, 12} {
+			g = append(g, predictor.Spec{Family: "egskew", N: n, Hist: k, Policy: predictor.PartialUpdate})
+		}
+	}
+	return g
+}
+
+// BenchmarkSimPaperGrid sweeps the 28-cell figure grid over one trace
+// with the zero-value options (cell-parallel drain, serial in time),
+// with two forced time segments, and with bitslicing disabled; ns/op
+// is per branch per predictor.
+func BenchmarkSimPaperGrid(b *testing.B) {
+	branches := simBenchTrace(b)
+	specs := paperGridSpecs()
+	for _, path := range []struct {
+		name string
+		opts sim.Options
+	}{
+		{"default", sim.Options{}},
+		{"segments2", sim.Options{Segments: 2}},
+		{"nobitslice", sim.Options{NoBitslice: true}},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			preds := make([]predictor.Predictor, len(specs))
+			for i, s := range specs {
+				preds[i] = predictor.MustSpec(s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			done := 0
+			for done < b.N {
+				chunk := len(branches) * len(preds)
+				if b.N-done < chunk {
+					chunk = b.N - done
+				}
+				n := (chunk + len(preds) - 1) / len(preds)
+				if _, err := sim.RunManyBranches(branches[:n], preds, path.opts); err != nil {
 					b.Fatal(err)
 				}
 				done += chunk

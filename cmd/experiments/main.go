@@ -59,7 +59,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text, csv or plot (ASCII charts)")
 		seed     = flag.Uint64("seed", 0, "seed offset for workload generation")
 		jobs     = flag.Int("jobs", 0, "max concurrent simulation cells (0 = GOMAXPROCS; 1 = serial)")
-		segments = flag.Int("segments", 1, "segment-parallel split per simulation cell (bit-identical results; 1 = serial, 0 = auto)")
+		segments = flag.Int("segments", 1, "segment-parallel split per simulation cell (bit-identical results; 0 or 1 = serial)")
 		poolDir  = flag.String("trace-pool", "", "content-addressed trace pool directory: reuse pooled workload traces across runs and processes (empty = off)")
 
 		progress     = flag.Bool("progress", false, "print live per-cell progress lines to stderr")

@@ -93,8 +93,9 @@ type Config struct {
 	// Segments is the segment-parallel split applied to simulate
 	// passes (sim.Options.Segments). Results are bit-identical at any
 	// value, so it is a server tuning knob rather than part of the
-	// request or the result-cache key. 0 keeps the simulator's own
-	// auto default; 1 forces serial.
+	// request or the result-cache key. 0 and 1 run serially in time
+	// (the simulator's default, which spreads each block across cores
+	// by predictor instead); >= 2 forces that many segments.
 	Segments int
 	// Cluster is this node's view of a static-topology cluster. Nil
 	// (the default) runs standalone: no internal endpoints, no peer

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"gskew/internal/client"
 	"gskew/internal/experiments"
 	"gskew/internal/kernel"
+	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/sim"
 	"gskew/internal/store"
@@ -290,49 +292,111 @@ func TestRequestBodyLimit(t *testing.T) {
 	wantCode(t, "oversized body", body, api.CodeBodyTooLarge)
 }
 
-// TestPredictSegmentedBatch: a staged batch crossing segmentPredictMin
-// must route through the segment-parallel engine on a multi-core host
-// and report exactly the serial kernel's count, leaving the session
-// predictor in the serially-trained state.
-func TestPredictSegmentedBatch(t *testing.T) {
+// TestPredictLargeBatchMatchesSerialKernel: a staged batch of 32,768
+// or more steps — large enough that the removed segmented route used
+// to take it on a multi-core host — runs through the session's kernel
+// in one StepBatch and reports exactly a serial twin kernel's count,
+// leaving the session predictor in the twin's trained state.
+func TestPredictLargeBatchMatchesSerialKernel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s := New(Config{})
+	ts := newTestServer(t, Config{})
 	const spec = "gshare:n=9,k=7"
-	sess, err := s.sessions.acquire("seg", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, ok := kernel.Compile(predictor.MustParseSpec(spec), 7)
+	twinP := predictor.MustParseSpec(spec)
+	twin, ok := kernel.Compile(twinP, 7)
 	if !ok {
 		t.Fatal("twin did not compile")
 	}
+	var steps []kernel.Step
+	var rows []string
 	ghr := uint64(0)
-	for i := 0; i < segmentPredictMin+5000; i++ {
+	for i := 0; i < 1<<15+5000; i++ {
 		taken := (i*i+i/3)%3 != 0
-		sess.steps = append(sess.steps, kernel.Step{PC: 0x40 + uint64(i%113)*4, Hist: ghr, Taken: taken})
+		pc := 0x40 + uint64(i%113)*4
+		steps = append(steps, kernel.Step{PC: pc, Hist: ghr, Taken: taken})
+		rows = append(rows, fmt.Sprintf(`{"pc":%d,"taken":%t}`, pc, taken))
 		ghr <<= 1
 		if taken {
 			ghr |= 1
 		}
 	}
-	want := twin.StepBatch(sess.steps)
-	got, ok := s.segmentSteps(sess)
-	if !ok {
-		t.Fatal("large batch did not take the segmented route")
+	want := twin.StepBatch(steps)
+	kernel.Invalidate(twinP)
+
+	body := fmt.Sprintf(`{"session":"big","spec":%q,"branches":[%s]}`, spec, strings.Join(rows, ","))
+	status, out, _ := postJSON(t, ts.URL+"/v1/predict", body)
+	if status != http.StatusOK {
+		t.Fatalf("large batch status %d: %s", status, out)
 	}
-	kernel.Invalidate(sess.p)
-	if got != want {
-		t.Errorf("segmented batch counted %d mispredicts, serial kernel %d", got, want)
+	var resp api.PredictResponse
+	if err := json.Unmarshal([]byte(out), &resp); err != nil {
+		t.Fatal(err)
 	}
-	// The trained state must match too: a serial continuation over the
-	// same tail block has to agree with the twin's.
-	if g, w := sess.kern.StepBatch(sess.steps[:4096]), twin.StepBatch(sess.steps[:4096]); g != w {
-		t.Errorf("post-segmented continuation counted %d, twin %d", g, w)
+	if resp.Conditionals != len(steps) || resp.Mispredicts != want {
+		t.Errorf("large batch cond=%d mispred=%d, serial twin cond=%d mispred=%d",
+			resp.Conditionals, resp.Mispredicts, len(steps), want)
 	}
-	// Below the threshold the serial path is kept.
-	sess.steps = sess.steps[:100]
-	if _, ok := s.segmentSteps(sess); ok {
-		t.Error("small batch took the segmented route")
+	// The trained state must match too: the same continuation block
+	// through the session and through the twin has to agree, branch
+	// for branch.
+	tail := steps[:4096]
+	wantTail := make([]bool, len(tail))
+	for i, s := range tail {
+		h := ghr & (1<<7 - 1)
+		wantTail[i] = twinP.Predict(s.PC, h)
+		twinP.Update(s.PC, h, s.Taken)
+		ghr <<= 1
+		if s.Taken {
+			ghr |= 1
+		}
+	}
+	status, out, _ = postJSON(t, ts.URL+"/v1/predict",
+		fmt.Sprintf(`{"session":"big","branches":[%s],"return_predictions":true}`, strings.Join(rows[:4096], ",")))
+	if status != http.StatusOK {
+		t.Fatalf("continuation status %d: %s", status, out)
+	}
+	var cont api.PredictResponse
+	if err := json.Unmarshal([]byte(out), &cont); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cont.Predictions, wantTail) {
+		t.Error("the session's trained state differs from the serial twin's")
+	}
+}
+
+// TestSimulateZeroConfigNeverSegments: a cold /v1/simulate under the
+// zero Config, on a trace of 65,536 or more branches and a multi-core
+// host, runs serially in time (sim.seg.runs does not move), and its
+// body is byte-identical to the same request under Segments: 1.
+func TestSimulateZeroConfigNeverSegments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	obs.Enable()
+	defer obs.Disable()
+	segRuns := func() int64 {
+		v, _ := obs.Default().Snapshot()["sim.seg.runs"].(int64)
+		return v
+	}
+	const req = `{"specs":["gshare:n=12,k=8","gskewed:n=10,k=8","bimodal:n=12"],"bench":"verilog","scale":0.02}`
+	before := segRuns()
+	status, zero, _ := postJSON(t, newTestServer(t, Config{}).URL+"/v1/simulate", req)
+	if status != http.StatusOK {
+		t.Fatalf("zero Config: status %d: %s", status, zero)
+	}
+	if n := segRuns() - before; n != 0 {
+		t.Errorf("a zero-Config cold simulate took the segmented path %d times", n)
+	}
+	status, serial, _ := postJSON(t, newTestServer(t, Config{Segments: 1}).URL+"/v1/simulate", req)
+	if status != http.StatusOK {
+		t.Fatalf("Segments 1: status %d: %s", status, serial)
+	}
+	if zero != serial {
+		t.Error("zero-Config body differs from the Segments: 1 body")
+	}
+	var resp api.SimulateResponse
+	if err := json.Unmarshal([]byte(zero), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if n := resp.Results[0].Result.Conditionals; n < 1<<16 {
+		t.Fatalf("trace has %d conditional branches, want at least 65,536", n)
 	}
 }
 

@@ -69,9 +69,8 @@ const (
 	// far past the point where 2-bit saturating counters and <=30-bit
 	// histories have forgotten the pre-window past on real traces.
 	defaultWarm = 4096
-	// autoMinBranches gates the automatic path: below this the staging
-	// plus reconcile overhead is not worth parallelising.
-	autoMinBranches = 1 << 16
+	// pooledSteps is the initial capacity of a pooled staging buffer.
+	pooledSteps = 1 << 16
 )
 
 // stagedTrace is one full decoding of a trace: every conditional with
@@ -85,7 +84,6 @@ type stagedTrace struct {
 	ghr     uint64
 	ghrMask uint64
 	flush   int
-	pooled  bool // steps came from stepPool; release() returns it
 }
 
 // stepPool recycles staged step buffers across segmented runs. Staging
@@ -93,22 +91,17 @@ type stagedTrace struct {
 // is 24 bytes, so a fresh buffer per run used to cost 24 B per branch,
 // the constant BENCH_sim.json reported for SimSegmented); reusing the
 // buffer makes the steady-state segmented run allocation-free in the
-// trace length. Only stageTrace-built buffers enter the pool —
-// SegmentSteps wraps caller-owned steps and never releases them.
+// trace length.
 var stepPool = sync.Pool{
-	New: func() any { s := make([]kernel.Step, 0, autoMinBranches); return &s },
+	New: func() any { s := make([]kernel.Step, 0, pooledSteps); return &s },
 }
 
 // release returns a pooled steps buffer. Safe only after every worker
 // has joined (runSegmentedMany returns post-Wait) and the results have
 // been extracted; st must not be used afterwards.
 func (st *stagedTrace) release() {
-	if !st.pooled {
-		return
-	}
 	buf := st.steps[:0]
 	st.steps = nil
-	st.pooled = false
 	stepPool.Put(&buf)
 }
 
@@ -142,7 +135,7 @@ func (st *stagedTrace) stage(branches []trace.Branch) error {
 // runner's process loop; the staged history values are the ones every
 // predictor observes, masked to its own length by its kernel.
 func stageTrace(src trace.Source, opts Options, ghrMask uint64) (*stagedTrace, error) {
-	st := &stagedTrace{ghrMask: ghrMask, flush: opts.FlushEvery, pooled: true}
+	st := &stagedTrace{ghrMask: ghrMask, flush: opts.FlushEvery}
 	st.steps = (*stepPool.Get().(*[]kernel.Step))[:0]
 	if ss, ok := src.(*trace.SliceSource); ok {
 		branches := ss.Drain()
@@ -207,31 +200,17 @@ func (st *stagedTrace) hasFlushInside(lo, hi int) bool {
 
 // segPlan decides whether this run takes the segmented path and, if
 // so, compiles the original predictors' kernels. ok is false when the
-// options ask for serial, the auto gate does not fire, or any
-// predictor is ineligible (no Spec, no compiled kernel, first-use
-// tracking, a Recorder, or NoKernel) — the caller then runs serially,
-// so a segment request degrades rather than fails.
-func segPlan(src trace.Source, preds []predictor.Predictor, opts Options) (k int, hists []uint, orig []kernel.StateKernel, ok bool) {
-	requested := true
-	switch {
-	case opts.Segments >= 2:
-		k = opts.Segments
-	case opts.Segments != 0:
-		return 0, nil, nil, false // 1 or negative: serial, not a fallback
-	default:
-		// Auto: only a materialised trace long enough to amortise
-		// staging, and only when there is real parallel hardware.
-		ss, isSlice := src.(*trace.SliceSource)
-		if !isSlice || ss.Len() < autoMinBranches || runtime.GOMAXPROCS(0) < 2 {
-			return 0, nil, nil, false
-		}
-		k = runtime.GOMAXPROCS(0)
-		requested = false
+// options do not ask for segments or any predictor is ineligible (no
+// Spec, no compiled kernel, first-use tracking, a Recorder, or
+// NoKernel) — the caller then runs serially, so a segment request
+// degrades rather than fails.
+func segPlan(preds []predictor.Predictor, opts Options) (k int, hists []uint, orig []kernel.StateKernel, ok bool) {
+	if opts.Segments < 2 {
+		return 0, nil, nil, false // serial in time, not a fallback
 	}
+	k = opts.Segments
 	fallback := func() (int, []uint, []kernel.StateKernel, bool) {
-		if requested {
-			mSegFallbacks.Inc()
-		}
+		mSegFallbacks.Inc()
 		return 0, nil, nil, false
 	}
 	if opts.NoKernel || opts.Recorder != nil {
@@ -473,9 +452,9 @@ func maskFromHists(hists []uint) uint64 {
 }
 
 // RunSegmented is RunMany with the segmented path forced on:
-// opts.Segments of 0 resolves to GOMAXPROCS (at least 2) instead of
-// the auto gate. Ineligible predictors still degrade to the serial
-// path, so results are always correct.
+// opts.Segments below 2 resolves to GOMAXPROCS (at least 2).
+// Ineligible predictors still degrade to the serial path, so results
+// are always correct.
 func RunSegmented(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
 	if opts.Segments < 2 {
 		opts.Segments = runtime.GOMAXPROCS(0)
@@ -499,7 +478,7 @@ func RunSegmentedNoReconcile(src trace.Source, preds []predictor.Predictor, opts
 			opts.Segments = 2
 		}
 	}
-	k, hists, orig, ok := segPlan(src, preds, opts)
+	k, hists, orig, ok := segPlan(preds, opts)
 	if !ok {
 		return nil, errors.New("sim: predictors not eligible for the segmented path")
 	}
@@ -510,32 +489,4 @@ func RunSegmentedNoReconcile(src trace.Source, preds []predictor.Predictor, opts
 	res := runSegmentedMany(st, preds, hists, orig, opts, k, false)
 	st.release()
 	return res, nil
-}
-
-// SegmentSteps runs an already-staged step block through the segmented
-// engine: the steps' Hist values must be the exact per-step history
-// (as staged by the sim runner or the predict-session code) and no
-// flushes are modelled. Returns ok=false when p cannot take the
-// segmented path; the caller then uses its serial kernel. The caller
-// remains responsible for kernel.Invalidate after its batch, as with
-// StepBatch.
-func SegmentSteps(p predictor.Predictor, histBits uint, steps []kernel.Step, segments, warmBranches int) (int, bool) {
-	if segments < 2 || len(steps) == 0 {
-		return 0, false
-	}
-	if _, isSpec := p.(predictor.Speccer); !isSpec {
-		return 0, false
-	}
-	kk, ok := kernel.Compile(p, histBits)
-	if !ok {
-		return 0, false
-	}
-	sk, ok := kk.(kernel.StateKernel)
-	if !ok {
-		return 0, false
-	}
-	st := &stagedTrace{steps: steps}
-	res := runSegmentedMany(st, []predictor.Predictor{p}, []uint{histBits},
-		[]kernel.StateKernel{sk}, Options{WarmBranches: warmBranches}, segments, true)
-	return res[0].Mispredicts, true
 }

@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"gskew/internal/kernel"
 	"gskew/internal/obs"
 	"gskew/internal/predictor"
 	"gskew/internal/trace"
@@ -162,29 +161,37 @@ func TestRunSegmentedPretrained(t *testing.T) {
 	}
 }
 
-// TestRunSegmentedAuto: with multiple procs and a long materialised
-// trace, Segments=0 takes the segmented path automatically, still
-// bit-identically.
+// TestRunSegmentedAuto: the zero value never segments. Even on a
+// multi-core host and a materialised trace of 2^16+ branches — the
+// shape most worth splitting in time — Segments=0 must leave
+// sim.seg.runs and the fallback count untouched and match the
+// forced-serial result.
 func TestRunSegmentedAuto(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	obs.Enable()
 	defer obs.Disable()
-	branches := manyTestTrace(autoMinBranches + 5000)
-	want, err := RunBranches(branches, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2}), Options{Segments: 1})
+	branches := manyTestTrace(1<<16 + 5000)
+	mk := func() predictor.Predictor {
+		return predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2})
+	}
+	want, err := RunBranches(branches, mk(), Options{Segments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := mSegRuns.Value()
-	got, err := RunBranches(branches, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: 8, Ctr: 2}), Options{})
+	before, fallbacks := mSegRuns.Value(), mSegFallbacks.Value()
+	got, err := RunBranches(branches, mk(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("auto-segmented %+v, serial %+v", got, want)
+		t.Fatalf("zero-value %+v, serial %+v", got, want)
 	}
-	if mSegRuns.Value() == before {
-		t.Error("auto gate did not take the segmented path")
+	if mSegRuns.Value() != before {
+		t.Error("the zero value took the segmented path")
+	}
+	if mSegFallbacks.Value() != fallbacks {
+		t.Error("the zero value counted a segmentation fallback")
 	}
 }
 
@@ -254,55 +261,33 @@ func segKillerTrace() []trace.Branch {
 	return branches
 }
 
-// TestSegmentSteps: the steps-level entry point used by predict
-// sessions must match the serial kernel over the same staged block.
-func TestSegmentSteps(t *testing.T) {
-	branches := manyTestTrace(20000)
-	const hist = 8
-	steps := make([]kernel.Step, 0, len(branches))
-	ghr := uint64(0)
-	for i := range branches {
-		b := &branches[i]
-		if b.Kind == trace.Conditional {
-			steps = append(steps, kernel.Step{PC: b.PC, Hist: ghr, Taken: b.Taken})
-		}
-		if b.Taken {
-			ghr = (ghr<<1 | 1) & (1<<hist - 1)
-		} else {
-			ghr = ghr << 1 & (1<<hist - 1)
-		}
-	}
-	serialP := predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: hist, Ctr: 2})
-	serialK, ok := kernel.Compile(serialP, hist)
-	if !ok {
-		t.Fatal("gshare did not compile")
-	}
-	want := serialK.StepBatch(steps)
-	kernel.Invalidate(serialP)
-
-	segP := predictor.MustSpec(predictor.Spec{Family: "gshare", N: 10, Hist: hist, Ctr: 2})
-	got, ok := SegmentSteps(segP, hist, steps, 5, 256)
-	if !ok {
-		t.Fatal("SegmentSteps refused an eligible predictor")
-	}
-	kernel.Invalidate(segP)
-	if got != want {
-		t.Fatalf("SegmentSteps counted %d mispredicts, serial kernel %d", got, want)
-	}
-	probePredictors(t, serialP, segP)
-
-	if _, ok := SegmentSteps(predictor.NewUnaliased(6, 2), 6, steps, 4, 256); ok {
-		t.Error("SegmentSteps accepted a predictor without a compiled kernel")
-	}
-}
-
-// TestRunManyBitsliced: a sweep wide enough to form bitsliced groups
-// must match the same sweep with grouping disabled, cell for cell,
-// including under flushes (lanes alias predictor storage, so Reset
-// must be visible to the group).
+// TestRunManyBitsliced: a sweep of same-index-function cells forms a
+// uniform bitsliced group, a sweep of same-family cells with
+// different index functions forms none, and both match the same sweep
+// with grouping disabled, cell for cell, including under flushes
+// (lanes alias predictor storage, so Reset must be visible to the
+// group).
 func TestRunManyBitsliced(t *testing.T) {
 	branches := manyTestTrace(9000)
-	mkPreds := func() []predictor.Predictor {
+	uniform := func() []predictor.Predictor {
+		var preds []predictor.Predictor
+		for i := 0; i < 10; i++ {
+			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: 9, Hist: 6, Ctr: 2}))
+		}
+		for i := 0; i < 9; i++ {
+			// Mixed update policies share one index function.
+			policy := predictor.PartialUpdate
+			if i%2 == 1 {
+				policy = predictor.TotalUpdate
+			}
+			preds = append(preds, predictor.MustGSkewed(predictor.Config{BankBits: 6, HistoryBits: 6, Policy: policy}))
+		}
+		// Oddballs that must stay scalar inside the same sweep.
+		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}))
+		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 3, Hist: 9}))
+		return preds
+	}
+	mixed := func() []predictor.Predictor {
 		var preds []predictor.Predictor
 		for n := uint(6); n < 12; n++ {
 			preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "gshare", N: n, Hist: 6, Ctr: 2}))
@@ -314,29 +299,37 @@ func TestRunManyBitsliced(t *testing.T) {
 				BankBits: bb, HistoryBits: 6, Enhanced: true,
 			}))
 		}
-		// Oddballs that must stay scalar inside the same sweep.
-		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "bimodal", N: 8, Ctr: 1}))
-		preds = append(preds, predictor.MustSpec(predictor.Spec{Family: "2bcgskew", N: 7, HistShort: 3, Hist: 9}))
 		return preds
 	}
 	obs.Enable()
 	defer obs.Disable()
-	for _, flush := range []int{0, 301} {
-		before := mGroups.Value()
-		got, err := RunManyBranches(branches, mkPreds(), Options{FlushEvery: flush, Segments: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mGroups.Value() == before {
-			t.Fatal("no bitsliced group formed for a 20-lane same-shape sweep")
-		}
-		want, err := RunManyBranches(branches, mkPreds(), Options{FlushEvery: flush, Segments: 1, NoBitslice: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("flush=%d cell %d: bitsliced %+v, scalar %+v", flush, i, got[i], want[i])
+	for _, tc := range []struct {
+		name   string
+		mk     func() []predictor.Predictor
+		groups int64
+		lanes  int64
+	}{
+		{"uniform", uniform, 2, 19},
+		{"mixed", mixed, 0, 0},
+	} {
+		for _, flush := range []int{0, 301} {
+			groups, lanes := mGroups.Value(), mGroupLanes.Value()
+			got, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, l := mGroups.Value()-groups, mGroupLanes.Value()-lanes; g != tc.groups || l != tc.lanes {
+				t.Errorf("%s flush=%d: %d groups of %d lanes formed, want %d of %d",
+					tc.name, flush, g, l, tc.groups, tc.lanes)
+			}
+			want, err := RunManyBranches(branches, tc.mk(), Options{FlushEvery: flush, NoBitslice: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s flush=%d cell %d: default %+v, NoBitslice %+v", tc.name, flush, i, got[i], want[i])
+				}
 			}
 		}
 	}

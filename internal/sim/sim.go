@@ -15,12 +15,22 @@
 // Predict/Update (or fused Step) path. Both paths are bit-identical by
 // construction: kernels share the predictor's own counter storage and
 // are checked against the executable paper specification by cmd/verify.
+//
+// On a multi-core host each staged block is drained across
+// min(GOMAXPROCS, work units) goroutines, split by predictor rather
+// than by time: a work unit is a bitsliced group or one ungrouped cell,
+// units never share state, so every cell keeps its exact per-branch
+// order and results stay bit-identical to a sequential Run.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
+	"sync"
+	"time"
 
 	"gskew/internal/kernel"
 	"gskew/internal/obs"
@@ -96,13 +106,15 @@ type Options struct {
 	// identical either way; the flag exists for benchmarking the two
 	// paths against each other and for differential tests.
 	NoKernel bool
-	// Segments controls segment-parallel simulation of one trace (see
-	// segment.go). 0 is automatic: a materialised trace long enough to
-	// amortise staging, on a multi-core host, splits into GOMAXPROCS
-	// segments. 1 (or negative) forces the serial path. Values >= 2
-	// force that many segments (capped at 64 and at the branch count).
-	// Results are bit-identical to serial in every case; ineligible
-	// predictors degrade to the serial path.
+	// Segments selects segment-parallel simulation of one trace in
+	// time (see segment.go). 0, 1 and negative values run serially in
+	// time; values >= 2 force that many segments (capped at 64 and at
+	// the branch count). Segmentation pays for replicas, warm-up and
+	// reconcile and measured slower than serial at every split on 1-
+	// and 2-core hosts, so nothing turns it on by default: the zero
+	// value spreads each block across cores by predictor instead (see
+	// RunMany). Results are bit-identical to serial in every case;
+	// ineligible predictors degrade to the serial path.
 	Segments int
 	// WarmBranches is the speculative warm-up window of the segmented
 	// path: each segment replica pre-runs this many branches of the
@@ -110,8 +122,11 @@ type Options struct {
 	// means the 4096-branch default.
 	WarmBranches int
 	// NoBitslice disables the 64-lane bitsliced group path that RunMany
-	// otherwise uses when at least 8 same-shape 2-bit cells share the
-	// trace. Results are identical either way; the flag exists for
+	// otherwise uses when at least 8 kernel-compiled 2-bit cells share
+	// one index function (same family, size and history). Cells of the
+	// same family with different index functions are never grouped:
+	// such a mixed group measured slower than the per-cell kernels it
+	// replaces. Results are identical either way; the flag exists for
 	// benchmarking the group path against per-cell kernels.
 	NoBitslice bool
 	// Recorder, when non-nil, receives per-predictor (conditionals,
@@ -159,10 +174,12 @@ type manyCell struct {
 	mask       uint64
 	mispredict int
 	firstUse   int
+	blockMis   int // mispredictions in the block being drained
 }
 
-// cellGroup is a 64-lane bitsliced kernel shared by up to 64 cells of
-// the same shape; mis is its per-lane scratch, reset each drain.
+// cellGroup is a 64-lane bitsliced kernel shared by up to 64 cells
+// with one index function; mis is its per-lane scratch, reset each
+// drain.
 type cellGroup struct {
 	g   *kernel.Group64
 	mis []int
@@ -175,30 +192,55 @@ var (
 	mGroupLanes = obs.NewCounter("sim.bitslice.lanes")
 )
 
+// Cell-parallel drain telemetry: helper goroutines started and blocks
+// drained across more than one goroutine.
+var (
+	mDrainHelpers  = obs.NewCounter("sim.drain.helpers")
+	mDrainParallel = obs.NewCounter("sim.drain.parallel_blocks")
+)
+
 // minGroupLanes is the grouping threshold: below 8 lanes the transpose
 // overhead of the bitsliced path is not worth it over per-cell kernels.
 const minGroupLanes = 8
 
-// groupCells forms bitsliced groups over kernel-compiled cells of the
-// same shape. Grouped cells keep their scalar kernels (Invalidate and
-// fallback still work); drain simply prefers the group's lane count.
+// groupKey identifies cells whose compiled kernels share one index
+// function: the same Spec (the update policy aside, which a group
+// carries per lane) at the same runner history length.
+type groupKey struct {
+	spec predictor.Spec
+	hist uint
+}
+
+// groupCells forms bitsliced groups over kernel-compiled cells that
+// share one index function. Only uniform groups are kept: a group of
+// lanes with different index functions gathers and scatters one byte
+// per lane per step and runs slower than the scalar kernels, so those
+// cells stay on their per-cell kernels. Grouped cells keep their
+// scalar kernels (Invalidate still works); drain simply prefers the
+// group's lane count.
 func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
-	byKind := map[int][]int{}
+	byKey := map[groupKey][]int{}
+	var keys []groupKey // first-seen order, so grouping is deterministic
 	for i := range r.cells {
 		c := &r.cells[i]
 		if c.kern == nil || c.tracker != nil {
 			continue
 		}
-		if kind, ok := kernel.GroupKind64(c.p); ok {
-			byKind[kind] = append(byKind[kind], i)
+		if _, ok := kernel.GroupKind64(c.p); !ok {
+			continue
 		}
+		spec := c.p.(predictor.Speccer).Spec().Normalize()
+		spec.Policy = 0
+		k := groupKey{spec: spec, hist: hists[i]}
+		if _, seen := byKey[k]; !seen {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], i)
 	}
-	for _, idx := range byKind {
+	for _, k := range keys {
+		idx := byKey[k]
 		for len(idx) >= minGroupLanes {
-			n := len(idx)
-			if n > kernel.MaxLanes {
-				n = kernel.MaxLanes
-			}
+			n := min(len(idx), kernel.MaxLanes)
 			lanePreds := make([]predictor.Predictor, n)
 			laneHists := make([]uint, n)
 			for j, ci := range idx[:n] {
@@ -206,7 +248,7 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 				laneHists[j] = hists[ci]
 			}
 			g, ok := kernel.CompileGroup64(lanePreds, laneHists)
-			if !ok {
+			if !ok || !g.Uniform() {
 				break
 			}
 			cg := &cellGroup{g: g, mis: make([]int, n)}
@@ -222,6 +264,21 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 	}
 }
 
+// drainUnit is one independently schedulable share of a block drain:
+// a bitsliced group (all its lanes at once) or one ungrouped cell.
+// Units never share predictor state, so any partition of them across
+// goroutines preserves every cell's per-branch order.
+type drainUnit struct {
+	group *cellGroup // non-nil: the unit is this group
+	cell  int        // otherwise: the index of its cell
+	ns    int64      // measured drain time so far: the balancing cost
+}
+
+// parallelMinNS is the estimated block work below which a drain stays
+// on the calling goroutine: waking the helpers and joining them costs
+// a few microseconds, which a smaller block cannot repay.
+const parallelMinNS = 50_000
+
 // manyRunner drives several predictors over one decoding of a trace.
 // It owns a single history register of the longest length any predictor
 // consumes; each predictor sees that register masked to its own length,
@@ -232,10 +289,12 @@ func groupCells(r *manyRunner, preds []predictor.Predictor, hists []uint) {
 // the raw shared-register history value at each branch) and are
 // drained to every cell a block at a time. Because cells never
 // interact, per-cell block processing preserves each cell's exact
-// per-branch order.
+// per-branch order — also when a block's units are spread across
+// goroutines.
 type manyRunner struct {
 	cells   []manyCell
 	groups  []*cellGroup
+	units   []drainUnit
 	ghr     uint64
 	ghrMask uint64
 	steps   []kernel.Step
@@ -244,6 +303,27 @@ type manyRunner struct {
 	flushes int
 	flush   int
 	rec     *obs.Recorder
+
+	// Cell-parallel drain. workers is min(GOMAXPROCS, len(units)); with
+	// one worker every block drains inline and nothing below is used.
+	// plan[w] lists the units worker w drains (worker 0 is the calling
+	// goroutine), rebalanced from the units' measured costs after
+	// 1, 2, 4, 8, ... timed blocks.
+	workers    int
+	all        []int // every unit index, for timed inline drains
+	plan       [][]int
+	order      []unitCost           // replanning scratch
+	load       []int64              // replanning scratch, one per worker
+	timed      int                  // blocks drained with per-unit timing
+	timedSteps int                  // steps in those blocks
+	start      []chan []kernel.Step // one per helper; nil until the first parallel block
+	wg         sync.WaitGroup       // helpers still draining the current block
+	exited     sync.WaitGroup       // helpers not yet returned
+}
+
+type unitCost struct {
+	ns  int64
+	idx int
 }
 
 func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
@@ -281,6 +361,21 @@ func newManyRunner(preds []predictor.Predictor, opts Options) *manyRunner {
 		groupCells(r, preds, hists)
 	}
 	r.ghrMask = uint64(1)<<maxK - 1
+	for _, g := range r.groups {
+		r.units = append(r.units, drainUnit{group: g})
+	}
+	for i := range r.cells {
+		if r.cells[i].group == nil {
+			r.units = append(r.units, drainUnit{cell: i})
+		}
+	}
+	r.workers = min(runtime.GOMAXPROCS(0), len(r.units))
+	if r.workers > 1 {
+		r.all = make([]int, len(r.units))
+		for i := range r.all {
+			r.all[i] = i
+		}
+	}
 	return r
 }
 
@@ -326,74 +421,222 @@ func (r *manyRunner) process(branches []trace.Branch) error {
 	return nil
 }
 
-// drain runs the staged steps through every cell and empties the
-// buffer.
+// drain runs the staged steps through every unit, then — on the
+// calling goroutine, after any helpers have joined — folds each cell's
+// block count into its total, the obs counters and the Recorder, and
+// empties the buffer.
 func (r *manyRunner) drain() {
 	if len(r.steps) == 0 {
 		return
 	}
 	mBlocks.Inc()
 	mSteps.Add(int64(len(r.steps)))
-	for _, g := range r.groups {
-		// Bitsliced groups step all their lanes through the block in
-		// one pass; the per-cell loop below just collects lane counts.
-		for j := range g.mis {
-			g.mis[j] = 0
+	steps := r.steps
+	if r.workers <= 1 {
+		for i := range r.units {
+			r.runUnit(&r.units[i], steps)
 		}
-		g.g.StepBatch64(r.steps, g.mis)
+	} else {
+		if r.timed == 0 || r.estimateNS(len(steps)) < parallelMinNS {
+			// The first block runs inline to measure every unit's
+			// cost; small blocks (flush-cut, or a cheap sweep) stay
+			// inline.
+			r.runTimed(r.all, steps)
+		} else {
+			r.drainParallel(steps)
+		}
+		r.timed++
+		r.timedSteps += len(steps)
 	}
 	for i := range r.cells {
 		c := &r.cells[i]
-		before := c.mispredict
-		switch {
-		case c.group != nil:
-			c.mispredict += c.group.mis[c.lane]
-		case c.kern != nil:
-			// Compiled fast path: one call for the whole block.
-			c.mispredict += c.kern.StepBatch(r.steps)
-		case c.stepper != nil && c.tracker == nil:
-			for j := range r.steps {
-				s := &r.steps[j]
-				if c.stepper.Step(s.PC, s.Hist&c.mask, s.Taken) != s.Taken {
-					c.mispredict++
-				}
-			}
-		default:
-			for j := range r.steps {
-				s := &r.steps[j]
-				h := s.Hist & c.mask
-				counted := true
-				if c.tracker != nil && !c.tracker.Seen(s.PC, h) {
-					c.firstUse++
-					counted = false
-				}
-				if c.stepper != nil {
-					// Fused fast path; Predict is state-free, so always
-					// stepping is equivalent to predict-when-counted.
-					if c.stepper.Step(s.PC, h, s.Taken) != s.Taken && counted {
-						c.mispredict++
-					}
-				} else {
-					if counted && c.p.Predict(s.PC, h) != s.Taken {
-						c.mispredict++
-					}
-					c.p.Update(s.PC, h, s.Taken)
-				}
-			}
+		mis := c.blockMis
+		if c.group != nil {
+			mis = c.group.mis[c.lane]
 		}
-		mMispredicts.Add(int64(c.mispredict - before))
+		c.mispredict += mis
+		mMispredicts.Add(int64(mis))
 		if r.rec != nil {
-			r.rec.Add(i, len(r.steps), c.mispredict-before)
+			r.rec.Add(i, len(steps), mis)
 		}
 	}
 	r.steps = r.steps[:0]
 }
 
-// finish drains the tail block and invalidates any predictor read
-// state the kernels bypassed, so the predictors serve interface calls
-// correctly after the run.
+// estimateNS predicts a block's total drain time from the costs
+// measured so far.
+func (r *manyRunner) estimateNS(steps int) int64 {
+	var total int64
+	for i := range r.units {
+		total += r.units[i].ns
+	}
+	return total * int64(steps) / int64(r.timedSteps)
+}
+
+// drainParallel spreads one block over the workers by the current
+// plan. The calling goroutine drains plan[0] itself while the helpers
+// drain the rest, then waits for them.
+func (r *manyRunner) drainParallel(steps []kernel.Step) {
+	if r.plan == nil || r.timed&(r.timed-1) == 0 {
+		r.replan()
+	}
+	if r.start == nil {
+		r.startHelpers()
+	}
+	mDrainParallel.Inc()
+	r.wg.Add(len(r.start))
+	for _, ch := range r.start {
+		ch <- steps
+	}
+	r.runTimed(r.plan[0], steps)
+	r.wg.Wait()
+}
+
+// startHelpers starts workers-1 goroutines, each draining its share of
+// every block it is sent until stopHelpers closes its channel.
+func (r *manyRunner) startHelpers() {
+	r.start = make([]chan []kernel.Step, r.workers-1)
+	r.exited.Add(len(r.start))
+	for w := range r.start {
+		ch := make(chan []kernel.Step)
+		r.start[w] = ch
+		go func() {
+			defer r.exited.Done()
+			for steps := range ch {
+				r.runTimed(r.plan[w+1], steps)
+				r.wg.Done()
+			}
+		}()
+	}
+	mDrainHelpers.Add(int64(len(r.start)))
+}
+
+// stopHelpers releases the helper goroutines and returns once they
+// have exited. They are idle whenever the runner is not inside
+// drainParallel, so each exits at once.
+func (r *manyRunner) stopHelpers() {
+	for _, ch := range r.start {
+		close(ch)
+	}
+	r.start = nil
+	r.exited.Wait()
+}
+
+// replan assigns units to workers longest-first, each to the least
+// loaded worker (LPT), by the cost each unit has measured so far.
+func (r *manyRunner) replan() {
+	if r.plan == nil {
+		// Full capacity for every worker: replanning never allocates.
+		r.plan = make([][]int, r.workers)
+		for w := range r.plan {
+			r.plan[w] = make([]int, 0, len(r.units))
+		}
+		r.order = make([]unitCost, len(r.units))
+		r.load = make([]int64, r.workers)
+	}
+	for i := range r.units {
+		r.order[i] = unitCost{ns: r.units[i].ns, idx: i}
+	}
+	slices.SortFunc(r.order, func(a, b unitCost) int {
+		if a.ns != b.ns {
+			if a.ns > b.ns {
+				return -1
+			}
+			return 1
+		}
+		return a.idx - b.idx
+	})
+	for w := range r.plan {
+		r.plan[w] = r.plan[w][:0]
+		r.load[w] = 0
+	}
+	for _, u := range r.order {
+		w := 0
+		for v := 1; v < r.workers; v++ {
+			if r.load[v] < r.load[w] {
+				w = v
+			}
+		}
+		r.plan[w] = append(r.plan[w], u.idx)
+		r.load[w] += u.ns
+	}
+}
+
+// runTimed drains the listed units and adds each one's elapsed time
+// to its cost.
+func (r *manyRunner) runTimed(idx []int, steps []kernel.Step) {
+	t := time.Now()
+	for _, i := range idx {
+		u := &r.units[i]
+		r.runUnit(u, steps)
+		now := time.Now()
+		u.ns += int64(now.Sub(t))
+		t = now
+	}
+}
+
+// runUnit drains one unit: a group steps all its lanes in one pass; a
+// cell records its block count in blockMis.
+func (r *manyRunner) runUnit(u *drainUnit, steps []kernel.Step) {
+	if g := u.group; g != nil {
+		clear(g.mis)
+		g.g.StepBatch64(steps, g.mis)
+		return
+	}
+	c := &r.cells[u.cell]
+	c.blockMis = c.step(steps)
+}
+
+// step runs one ungrouped cell through a block and returns its counted
+// mispredictions. Counts accumulate in locals: cells drained on
+// different goroutines sit side by side in memory.
+func (c *manyCell) step(steps []kernel.Step) int {
+	if c.kern != nil {
+		// Compiled fast path: one call for the whole block.
+		return c.kern.StepBatch(steps)
+	}
+	mis := 0
+	if c.stepper != nil && c.tracker == nil {
+		for j := range steps {
+			s := &steps[j]
+			if c.stepper.Step(s.PC, s.Hist&c.mask, s.Taken) != s.Taken {
+				mis++
+			}
+		}
+		return mis
+	}
+	firstUse := 0
+	for j := range steps {
+		s := &steps[j]
+		h := s.Hist & c.mask
+		counted := true
+		if c.tracker != nil && !c.tracker.Seen(s.PC, h) {
+			firstUse++
+			counted = false
+		}
+		if c.stepper != nil {
+			// Fused fast path; Predict is state-free, so always
+			// stepping is equivalent to predict-when-counted.
+			if c.stepper.Step(s.PC, h, s.Taken) != s.Taken && counted {
+				mis++
+			}
+		} else {
+			if counted && c.p.Predict(s.PC, h) != s.Taken {
+				mis++
+			}
+			c.p.Update(s.PC, h, s.Taken)
+		}
+	}
+	c.firstUse += firstUse
+	return mis
+}
+
+// finish drains the tail block, releases the helpers and invalidates
+// any predictor read state the kernels bypassed, so the predictors
+// serve interface calls correctly after the run.
 func (r *manyRunner) finish() {
 	r.drain()
+	r.stopHelpers()
 	for _, g := range r.groups {
 		// Publish uniform groups' owned planes back into the lane
 		// predictors before anyone reads them through the interface.
@@ -427,11 +670,20 @@ func (r *manyRunner) results() []Result {
 // consumes) is shared, so the cost of a sweep is one trace iteration
 // plus the predictors' own work — O(events + predictors x events_cond)
 // instead of O(predictors x events).
+//
+// The predictors' work is spread across cores by predictor: each
+// staged block is drained by min(GOMAXPROCS, work units) goroutines,
+// where a work unit is a bitsliced group or one ungrouped cell, and the
+// units are balanced across workers by the drain time each has
+// measured so far in this run. With one worker, or a block too small
+// to repay a hand-off, the drain runs on the calling goroutine, and at
+// GOMAXPROCS=1 no goroutine is started. preds must be distinct
+// predictors: two cells sharing one predictor would race.
 func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Result, error) {
 	if len(preds) == 0 {
 		return nil, nil
 	}
-	if k, hists, orig, ok := segPlan(src, preds, opts); ok {
+	if k, hists, orig, ok := segPlan(preds, opts); ok {
 		// Segment-parallel path: stage the trace once, run contiguous
 		// segments concurrently, reconcile at the boundaries. Results
 		// are bit-identical to the serial path below (see segment.go).
@@ -444,6 +696,7 @@ func RunMany(src trace.Source, preds []predictor.Predictor, opts Options) ([]Res
 		return res, nil
 	}
 	r := newManyRunner(preds, opts)
+	defer r.stopHelpers() // a no-op after finish; releases them on error
 	if ss, ok := src.(*trace.SliceSource); ok {
 		// Fast path: iterate the materialised slice directly, with no
 		// copying into a read buffer.

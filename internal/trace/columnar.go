@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"math/rand/v2"
 	"slices"
 )
 
@@ -114,8 +115,21 @@ type ColumnarWriter struct {
 	w   *bufio.Writer
 	buf []Branch // pending records of the open block
 
-	// Per-block scratch, reused across flushes.
+	// Per-block scratch, reused across flushes. dict collects the
+	// block's distinct PCs; pcKey/pcIdx/pcGen is an open-addressing
+	// table from PC to dictionary index, and slot holds each pending
+	// record's table slot. The table hashes by multiply-shift with a
+	// random odd multiplier pcMul, so no fixed set of PCs collides
+	// badly in every writer. A slot is live only
+	// while its pcGen equals gen, so opening a block never clears the
+	// table.
 	dict    []uint64
+	slot    []uint16
+	pcKey   []uint64
+	pcIdx   []uint16
+	pcGen   []uint32
+	gen     uint32
+	pcMul   uint64
 	payload []byte
 
 	// tamperWidth plants the verify selftest's bitpack-width
@@ -135,10 +149,38 @@ func NewColumnarWriter(w io.Writer) (*ColumnarWriter, error) {
 		return nil, fmt.Errorf("trace: writing columnar header: %w", err)
 	}
 	return &ColumnarWriter{
-		w:    bw,
-		buf:  make([]Branch, 0, ColumnarBlockSize),
-		dict: make([]uint64, 0, ColumnarBlockSize),
+		w:     bw,
+		buf:   make([]Branch, 0, ColumnarBlockSize),
+		dict:  make([]uint64, 0, ColumnarBlockSize),
+		slot:  make([]uint16, 0, ColumnarBlockSize),
+		pcKey: make([]uint64, 1<<pcTableBits),
+		pcIdx: make([]uint16, 1<<pcTableBits),
+		pcGen: make([]uint32, 1<<pcTableBits),
+		pcMul: rand.Uint64() | 1,
 	}, nil
+}
+
+// pcTableBits sizes the writer's PC table: 2^13 slots hold a block's
+// at most ColumnarBlockSize distinct PCs at a load of one half or less.
+const pcTableBits = 13
+
+// pcSlot returns pc's slot in the PC table, claiming a free one (and
+// appending pc to the block dictionary) on first sight in this block.
+func (w *ColumnarWriter) pcSlot(pc uint64) uint16 {
+	const mask = 1<<pcTableBits - 1
+	h := (pc * w.pcMul) >> (64 - pcTableBits)
+	for {
+		if w.pcGen[h] != w.gen {
+			w.pcGen[h] = w.gen
+			w.pcKey[h] = pc
+			w.dict = append(w.dict, pc)
+			return uint16(h)
+		}
+		if w.pcKey[h] == pc {
+			return uint16(h)
+		}
+		h = (h + 1) & mask
+	}
 }
 
 // TamperColumnarBitpackWidth plants a bitpack-width off-by-one fault
@@ -177,13 +219,23 @@ func (w *ColumnarWriter) flushBlock() error {
 	recs := w.buf
 	count := len(recs)
 
-	// Dictionary: the block's distinct PCs, sorted.
+	// Dictionary: the block's distinct PCs, deduplicated through the
+	// PC table and then sorted; each table slot learns its PC's
+	// position in the sorted dictionary.
+	w.gen++
+	if w.gen == 0 {
+		clear(w.pcGen)
+		w.gen = 1
+	}
 	w.dict = w.dict[:0]
+	w.slot = w.slot[:0]
 	for i := range recs {
-		w.dict = append(w.dict, recs[i].PC)
+		w.slot = append(w.slot, w.pcSlot(recs[i].PC))
 	}
 	slices.Sort(w.dict)
-	w.dict = slices.Compact(w.dict)
+	for i, pc := range w.dict {
+		w.pcIdx[w.pcSlot(pc)] = uint16(i)
+	}
 	dictCount := len(w.dict)
 	width := bits.Len(uint(dictCount - 1))
 
@@ -230,9 +282,8 @@ func (w *ColumnarWriter) flushBlock() error {
 		mask := uint64(1)<<packWidth - 1
 		var acc uint64
 		accBits := 0
-		for i := range recs {
-			idx, _ := slices.BinarySearch(w.dict, recs[i].PC)
-			acc |= (uint64(idx) & mask) << accBits
+		for _, slot := range w.slot {
+			acc |= (uint64(w.pcIdx[slot]) & mask) << accBits
 			accBits += packWidth
 			for accBits >= 8 {
 				w.payload = append(w.payload, byte(acc))
